@@ -26,7 +26,7 @@ func TestAuditCatchesSeededCorruption(t *testing.T) {
 			want: "not in map",
 			corrupt: func(c *Cache) {
 				buf := c.AllocateDemand(0, 7)
-				c.byBlock.del(7)
+				delete(c.byBlock, 7)
 				_ = buf
 			},
 		},

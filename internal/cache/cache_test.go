@@ -51,6 +51,54 @@ func TestPrefetchFailString(t *testing.T) {
 	}
 }
 
+// TestBlockIndex checks the block map's contract across cache sizes:
+// every mapped block is found, evictions delete their blocks, and the
+// audit's size check agrees with the frames in service.
+func TestBlockIndex(t *testing.T) {
+	t.Parallel()
+	for _, frames := range []int{1, 80, 4096} {
+		_, c := newTestCache(frames, 0, 1, 0, 0)
+		bufs := make([]*Buffer, frames)
+		for i := range bufs {
+			if bufs[i] = c.AllocateWrite(0, i*7); bufs[i] == nil {
+				t.Fatalf("frames %d: allocation %d failed", frames, i)
+			}
+		}
+		for i, b := range bufs {
+			if c.Lookup(i*7) != b {
+				t.Fatalf("frames %d: block %d not found", frames, i*7)
+			}
+			if c.Contains(i*7 + 1) {
+				t.Fatalf("frames %d: phantom block %d", frames, i*7+1)
+			}
+		}
+		// Unpin the even blocks and claim that many fresh frames: LRU
+		// recycling evicts exactly the even blocks from the map.
+		evicted := 0
+		for i := 0; i < frames; i += 2 {
+			c.Unpin(bufs[i])
+			evicted++
+		}
+		for j := 0; j < evicted; j++ {
+			if c.AllocateWrite(0, frames*7+j) == nil {
+				t.Fatalf("frames %d: reallocation %d failed", frames, j)
+			}
+		}
+		for i, b := range bufs {
+			want := b
+			if i%2 == 0 {
+				want = nil
+			}
+			if got := c.Lookup(i * 7); got != want {
+				t.Fatalf("frames %d: block %d after eviction: got %p want %p", frames, i*7, got, want)
+			}
+		}
+		if err := c.Audit(); err != nil {
+			t.Fatalf("frames %d: %v", frames, err)
+		}
+	}
+}
+
 func TestDemandFetchLifecycle(t *testing.T) {
 	k, c := newTestCache(4, 0, 2, 0, 0)
 	k.Spawn("p", 0, func(p *sim.Proc) {

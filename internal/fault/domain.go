@@ -12,8 +12,8 @@
 // quorum recovery, storms stretch service times). Every draw the
 // domain layer makes — straggler spread membership, storm onset jitter
 // — comes from its own seeded PCG stream, split per domain, and is
-// made at construction time on the kernel goroutine, so domain chaos
-// is exactly replayable at any SimWorkers count. As everywhere in this
+// made at construction time, so domain chaos is exactly replayable.
+// As everywhere in this
 // package, the zero value injects nothing and consumers bypass the
 // domain injector entirely when the configuration is inert.
 package fault

@@ -10,19 +10,21 @@ import "math/bits"
 // becoming the bottleneck.
 //
 // The wheel preserves the kernel's exact (at, seq) total order — every
-// golden from the serial and LP kernels is byte-identical — under two
-// ordering hazards a textbook wheel ignores:
+// golden is byte-identical to the binary heap's — under two ordering
+// hazards a textbook wheel ignores:
 //
-//   - Reserved sequence numbers. The LP kernel (lp.go) reserves seq
-//     values host-side and fulfils them later, so a push may carry a
-//     seq *smaller* than ones already queued at the same instant. A
-//     level-0 slot therefore sorts by seq when it is collected, and
-//     the front buffer does ordered insertion, not append.
-//   - Past-of-wheel pushes. Advance's fast path moves the clock after
-//     peeking, and promise fulfilment may land at a time the wheel has
-//     already cascaded past. wheelTime never rewinds (rewinding would
-//     make slot residents ambiguous across laps); such events instead
-//     join the sorted front buffer directly.
+//   - Cascade interleaving. Seqs are pushed in increasing order, but an
+//     event filed in a higher level reaches level 0 only when its slot
+//     cascades, by which time a later push (larger seq) at the same
+//     instant may already sit in the level-0 slot it lands in. A
+//     level-0 slot therefore sorts by seq when it is collected.
+//   - Past-of-wheel pushes. peekTime collects ahead of the clock (the
+//     kernel's Advance fast path peeks before moving it), so a push
+//     may land at a time the wheel has already cascaded past.
+//     wheelTime never rewinds (rewinding would make slot residents
+//     ambiguous across laps); such events instead join the sorted
+//     front buffer directly, after every queued event at their instant
+//     since their seq is the newest.
 //
 // Layout: wheelLevels levels of wheelSlots slots each. Level ℓ has
 // granularity 2^(6ℓ) µs, so level 0 resolves single microseconds and
@@ -31,8 +33,8 @@ import "math/bits"
 // "earliest non-empty slot" a single bit scan.
 const (
 	wheelBits   = 6
-	wheelSlots  = 1 << wheelBits  // 64 slots per level
-	wheelLevels = 4               // spans 2^(6*4) µs ≈ 16.8 s
+	wheelSlots  = 1 << wheelBits // 64 slots per level
+	wheelLevels = 4              // spans 2^(6*4) µs ≈ 16.8 s
 	wheelMask   = wheelSlots - 1
 	wheelSpan   = Time(1) << (wheelBits * wheelLevels)
 )
@@ -48,7 +50,7 @@ type timerWheel struct {
 
 	// front is the staging buffer of due events, sorted by (at, seq);
 	// fi indexes the next to pop. Pushes that land before wheelTime
-	// (fast-path Advance, promise fulfilment) insert in order here.
+	// insert in order here.
 	front []event
 	fi    int
 
@@ -89,15 +91,16 @@ func (w *timerWheel) place(e event) {
 	w.occ[l] |= 1 << uint(s)
 }
 
-// insertFront adds an event to the sorted due buffer. The common case
-// (a fresh seq at the current instant) appends; reserved-seq promise
-// events walk back to their ordered position.
+// insertFront adds an event to the sorted due buffer. Its seq is the
+// newest queued, so it goes after every event at or before its
+// instant: the common case (the current instant) appends, and a push
+// earlier than the staged instant walks back past the later events.
 func (w *timerWheel) insertFront(e event) {
 	i := len(w.front)
 	w.front = append(w.front, e)
 	for i > w.fi {
 		p := &w.front[i-1]
-		if p.at < e.at || (p.at == e.at && p.seq < e.seq) {
+		if p.at <= e.at {
 			break
 		}
 		w.front[i] = *p
@@ -236,8 +239,8 @@ func (w *timerWheel) collect() {
 // one instant (level-0 slots are single-valued by construction: an
 // event lands in level 0 only when at-wheelTime < 64 and collection
 // empties the slot before wheelTime passes it), so seq alone decides.
-// Insertion sort: slots are small and near-sorted — only reserved-seq
-// promise events and cascade interleavings are out of place.
+// Insertion sort: slots are small and near-sorted — only cascade
+// interleavings are out of place (see the timerWheel comment).
 func (w *timerWheel) sortFrontBySeq(at Time) {
 	for i := 1; i < len(w.front); i++ {
 		if w.front[i].at != at {

@@ -29,10 +29,11 @@ func drainCompare(t *testing.T, tag string, w *timerWheel, h *eventHeap) {
 }
 
 // TestWheelMatchesHeapRandomStreams is the ordering property test: on
-// random interleaved push/pop streams — including far-future (overflow)
-// times, duplicate instants, and out-of-order reserved seqs like the LP
-// kernel's promise fulfilment — the wheel pops the exact sequence the
-// reference binary heap does.
+// random interleaved push/peek/pop streams — including far-future
+// (overflow) times, duplicate instants, and pushes behind a peeked
+// (already collected) instant, as the kernel's Advance fast path makes
+// — the wheel pops the exact sequence the reference binary heap does.
+// Seqs increase monotonically, as the kernel assigns them.
 func TestWheelMatchesHeapRandomStreams(t *testing.T) {
 	t.Parallel()
 	for trial := 0; trial < 200; trial++ {
@@ -41,14 +42,6 @@ func TestWheelMatchesHeapRandomStreams(t *testing.T) {
 		var h eventHeap
 		var now Time
 		seq := uint64(0)
-		// Reserved seqs: occasionally skip seq numbers now and push
-		// events carrying them later, after larger seqs are queued.
-		type reserved struct {
-			at  Time
-			seq uint64
-		}
-		var pending []reserved
-
 		ops := 300 + rng.Intn(700)
 		for i := 0; i < ops; i++ {
 			switch r := rng.Intn(10); {
@@ -68,19 +61,13 @@ func TestWheelMatchesHeapRandomStreams(t *testing.T) {
 				seq++
 				w.push(e)
 				h.push(e)
-			case r < 6: // reserve a seq for later fulfilment
-				pending = append(pending, reserved{at: now + Time(rng.Intn(1<<14)), seq: seq})
-				seq++
-			case r < 8 && len(pending) > 0: // fulfil a reservation
-				p := pending[0]
-				pending = pending[1:]
-				at := p.at
-				if at < now {
-					at = now
+			case r < 7: // peek (collects ahead of now), like Advance
+				if h.len() == 0 {
+					continue
 				}
-				e := event{at: at, seq: p.seq}
-				w.push(e)
-				h.push(e)
+				if wp, hp := w.peekTime(), h.peekTime(); wp != hp {
+					t.Fatalf("trial %d: peekTime wheel %v heap %v", trial, wp, hp)
+				}
 			default: // pop (advances time, like the kernel loop)
 				if h.len() == 0 {
 					continue
@@ -97,35 +84,15 @@ func TestWheelMatchesHeapRandomStreams(t *testing.T) {
 					now = we.at
 				}
 			}
-			// Promises outstanding block dispatch past their bound in
-			// the real kernel; here any unfulfilled reservation older
-			// than `now` is simply fulfilled at `now`, mirroring the
-			// "no event before the bound dispatches" guarantee.
-			for len(pending) > 0 && pending[0].at <= now {
-				p := pending[0]
-				pending = pending[1:]
-				e := event{at: now, seq: p.seq}
-				w.push(e)
-				h.push(e)
-			}
-		}
-		for _, p := range pending {
-			at := p.at
-			if at < now {
-				at = now
-			}
-			e := event{at: at, seq: p.seq}
-			w.push(e)
-			h.push(e)
 		}
 		drainCompare(t, "trial drain", &w, &h)
 	}
 }
 
 // TestWheelPastPush exercises the front-buffer path: after the wheel
-// has collected (and wheelTime advanced past t), a push at t must still
-// pop in (at, seq) order — the Advance fast path and promise fulfilment
-// both do this.
+// has collected (and wheelTime advanced past t), a push at or before t
+// must still pop in (at, seq) order — the Advance fast path peeks
+// before it moves the clock, so the kernel does this routinely.
 func TestWheelPastPush(t *testing.T) {
 	t.Parallel()
 	var w timerWheel
@@ -140,9 +107,30 @@ func TestWheelPastPush(t *testing.T) {
 		t.Fatalf("peekTime = %v", got)
 	}
 	push(50, 3)  // before the collected batch
-	push(100, 0) // same instant as batch head, smaller (reserved) seq
-	push(150, 4) // between batch head and the rest of the wheel
+	push(100, 4) // same instant as batch head, newer seq
+	push(150, 5) // between batch head and the rest of the wheel
 	drainCompare(t, "past-push", &w, &h)
+}
+
+// TestWheelCascadeInterleave pins why collect sorts a level-0 slot by
+// seq even though seqs are pushed in increasing order: (100,1) is filed
+// in level 1 while wheelTime is 0; after (63,0) pops, wheelTime is 64
+// and (100,2) lands directly in level-0 slot 36. Cascading level 1 then
+// appends (100,1) to that slot behind (100,2).
+func TestWheelCascadeInterleave(t *testing.T) {
+	t.Parallel()
+	var w timerWheel
+	w.push(event{at: 63, seq: 0})
+	w.push(event{at: 100, seq: 1})
+	if e := w.pop(); e.at != 63 || e.seq != 0 {
+		t.Fatalf("first pop = (%v,%d), want (63,0)", e.at, e.seq)
+	}
+	w.push(event{at: 100, seq: 2})
+	for _, want := range []uint64{1, 2} {
+		if e := w.pop(); e.at != 100 || e.seq != want {
+			t.Fatalf("popped (%v,%d), want (100,%d)", e.at, e.seq, want)
+		}
+	}
 }
 
 // TestWheelCascade drives events far enough apart that every level and
