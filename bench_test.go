@@ -463,3 +463,28 @@ func BenchmarkAblationBufferHome(b *testing.B) {
 	}
 	b.ReportMetric(gain, "local-buffers-gain-%")
 }
+
+// singleRunAllocBudget is BenchmarkSingleRun's allocation count before
+// the timer wheel replaced the binary event heap (allocs/op in
+// BENCH_2026-08-08_scale_pre.json). The wheel once pushed the cell to
+// 22.5k allocations without any test noticing; this pins it back.
+const singleRunAllocBudget = 4425
+
+// TestSingleRunAllocBudget is the allocation regression gate for the
+// paper-scale hot path: one 20-processor gw prefetching run — the cell
+// BenchmarkSingleRun times — must allocate no more than the pre-wheel
+// budget. Allocation counts are deterministic for a deterministic run,
+// so unlike ns/op this gate needs no noise margin. It must not run in
+// parallel: AllocsPerRun counts every goroutine's allocations.
+func TestSingleRunAllocBudget(t *testing.T) {
+	cfg := prefetchConfig(GW, false)
+	allocs := testing.AllocsPerRun(3, func() {
+		if r := MustRun(cfg); r.Cache.Accesses() != 2000 {
+			t.Fatal("wrong access count")
+		}
+	})
+	if allocs > singleRunAllocBudget {
+		t.Fatalf("single gw prefetch run allocates %.0f times, budget %d", allocs, singleRunAllocBudget)
+	}
+	t.Logf("single gw prefetch run: %.0f allocs (budget %d)", allocs, singleRunAllocBudget)
+}

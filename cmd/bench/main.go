@@ -15,6 +15,7 @@
 //	bench -bench 'Fig08|Fig12'     # just the named figures
 //	bench -benchtime 3x -o out.json
 //	bench -shared                  # single process, shared caches (fast smoke)
+//	bench -pkg .,./internal/sim -bench 'SingleRun|Wheel'  # several packages, one file
 package main
 
 import (
@@ -34,6 +35,7 @@ import (
 
 // Result is one benchmark's measurement.
 type Result struct {
+	Package     string             `json:"package,omitempty"`
 	Name        string             `json:"name"`
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
@@ -57,7 +59,7 @@ type Baseline struct {
 
 func main() {
 	var (
-		pkg       = flag.String("pkg", ".", "package containing the benchmarks")
+		pkg       = flag.String("pkg", ".", "comma-separated packages containing the benchmarks")
 		benchRE   = flag.String("bench", ".", "regexp selecting benchmarks to run")
 		benchtime = flag.String("benchtime", "1x", "benchtime passed to go test")
 		out       = flag.String("o", "", "output file (default BENCH_<date>.json)")
@@ -69,33 +71,22 @@ func main() {
 	)
 	flag.Parse()
 
-	names, err := listBenchmarks(*dir, *pkg, *benchRE)
-	if err != nil {
-		fatal(err)
+	pkgs := strings.Split(*pkg, ",")
+	if len(pkgs) > 1 && (*cpuProf != "" || *memProf != "") {
+		// As with go test itself: profile files are named per
+		// benchmark, not per package.
+		fatal(fmt.Errorf("-cpuprofile/-memprofile need a single -pkg"))
 	}
-	if len(names) == 0 {
-		fatal(fmt.Errorf("no benchmarks match %q in %s", *benchRE, *pkg))
-	}
-
+	// Results keep -pkg order, sorted by name within each package.
 	var results []Result
-	if *shared {
-		results, err = runBench(*dir, *pkg, *benchRE, *benchtime, *cpuProf, *memProf)
+	for _, p := range pkgs {
+		rs, err := benchPackage(*dir, p, *benchRE, *benchtime, *shared, *cpuProf, *memProf)
 		if err != nil {
 			fatal(err)
 		}
-	} else {
-		for _, name := range names {
-			fmt.Fprintf(os.Stderr, "bench: %s\n", name)
-			// One process per benchmark, so each gets its own profile file.
-			rs, err := runBench(*dir, *pkg, "^"+name+"$", *benchtime,
-				suffixProfile(*cpuProf, name), suffixProfile(*memProf, name))
-			if err != nil {
-				fatal(fmt.Errorf("%s: %w", name, err))
-			}
-			results = append(results, rs...)
-		}
+		sort.Slice(rs, func(i, j int) bool { return rs[i].Name < rs[j].Name })
+		results = append(results, rs...)
 	}
-	sort.Slice(results, func(i, j int) bool { return results[i].Name < results[j].Name })
 
 	date := time.Now().Format("2006-01-02")
 	b := Baseline{
@@ -122,6 +113,40 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("bench: %d benchmarks -> %s\n", len(results), path)
+}
+
+// benchPackage runs the benchmarks of one package matching re, all in
+// one process when shared, else one process each.
+func benchPackage(dir, pkg, re, benchtime string, shared bool, cpuProf, memProf string) ([]Result, error) {
+	names, err := listBenchmarks(dir, pkg, re)
+	if err != nil {
+		return nil, err
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("no benchmarks match %q in %s", re, pkg)
+	}
+	var results []Result
+	if shared {
+		results, err = runBench(dir, pkg, re, benchtime, cpuProf, memProf)
+		if err != nil {
+			return nil, err
+		}
+	} else {
+		for _, name := range names {
+			fmt.Fprintf(os.Stderr, "bench: %s %s\n", pkg, name)
+			// One process per benchmark, so each gets its own profile file.
+			rs, err := runBench(dir, pkg, "^"+name+"$", benchtime,
+				suffixProfile(cpuProf, name), suffixProfile(memProf, name))
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", name, err)
+			}
+			results = append(results, rs...)
+		}
+	}
+	for i := range results {
+		results[i].Package = pkg
+	}
+	return results, nil
 }
 
 // listBenchmarks asks `go test -list` for the benchmark names matching

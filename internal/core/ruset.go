@@ -20,11 +20,15 @@ func newRUSet(size int) *ruSet {
 }
 
 // makeRoom unpins the oldest entries until there is room for one more,
-// so it is called before acquiring a new buffer.
+// so it is called before acquiring a new buffer. The survivors move
+// down in place (the set is small), so bufs keeps its array and add
+// never regrows it.
 func (r *ruSet) makeRoom(c *cache.Cache) {
 	for len(r.bufs) >= r.size {
 		c.Unpin(r.bufs[0])
-		r.bufs = r.bufs[1:]
+		n := copy(r.bufs, r.bufs[1:])
+		r.bufs[n] = nil
+		r.bufs = r.bufs[:n]
 	}
 }
 

@@ -9,11 +9,12 @@ import "fmt"
 // error on the first violation. It never mutates simulation state.
 func (d *Disk) Audit() error {
 	now := d.k.Now()
-	if d.dead && len(d.pending) > 0 {
-		return fmt.Errorf("disk %d: dead with %d queued request(s)", d.id, len(d.pending))
+	n := d.QueueLength()
+	if d.dead && n > 0 {
+		return fmt.Errorf("disk %d: dead with %d queued request(s)", d.id, n)
 	}
-	if !d.dead && d.current == nil && len(d.pending) > 0 {
-		return fmt.Errorf("disk %d: idle with %d queued request(s)", d.id, len(d.pending))
+	if !d.dead && d.current == nil && n > 0 {
+		return fmt.Errorf("disk %d: idle with %d queued request(s)", d.id, n)
 	}
 	if r := d.current; r != nil {
 		if r.Started < r.Enqueued {
@@ -24,7 +25,7 @@ func (d *Disk) Audit() error {
 		}
 	}
 	var prev *Request
-	for _, r := range d.pending {
+	for _, r := range d.waiting() {
 		if r.Enqueued > now {
 			return fmt.Errorf("disk %d: queued request for block %d enqueued at future time %v", d.id, r.Block, r.Enqueued)
 		}

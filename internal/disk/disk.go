@@ -145,7 +145,10 @@ type Disk struct {
 	headPos int // physical position of the head; -1 before any request
 	scanUp  bool
 
-	pending []*Request
+	// queue[head:] holds the waiting requests, oldest first (see
+	// waiting, enqueue and dispatch).
+	queue   []*Request
+	head    int
 	current *Request
 
 	busy    sim.Duration // accumulated service time
@@ -216,7 +219,31 @@ func (d *Disk) Policy() SchedPolicy { return d.policy }
 
 // QueueLength returns the number of requests waiting (excluding the one
 // in service).
-func (d *Disk) QueueLength() int { return len(d.pending) }
+func (d *Disk) QueueLength() int { return len(d.queue) - d.head }
+
+// waiting returns the queued requests, oldest first.
+func (d *Disk) waiting() []*Request { return d.queue[d.head:] }
+
+// queueKeep is the largest queue array an emptied queue keeps for
+// reuse. Two slots cover a submit to an idle disk and one request
+// queued behind the one in service, the paper-scale steady state.
+const queueKeep = 2
+
+// enqueue appends a request to the queue. Serving advances head rather
+// than the slice base, so the array's served prefix is reclaimed here:
+// when it is at least half of a full array, the live tail moves down
+// instead of the array growing (amortised O(1), and the array stays
+// within a small multiple of the peak depth). An emptied queue rewinds
+// in dispatch, so a submit to an idle disk reuses the array's first
+// slot.
+func (d *Disk) enqueue(req *Request) {
+	if len(d.queue) == cap(d.queue) && d.head > 0 && 2*d.head >= len(d.queue) {
+		n := copy(d.queue, d.queue[d.head:])
+		clear(d.queue[n:])
+		d.queue, d.head = d.queue[:n], 0
+	}
+	d.queue = append(d.queue, req)
+}
 
 // Submit enqueues a read of the given logical block, stored at physical
 // block phys on this disk, and returns the request. The request's
@@ -242,14 +269,14 @@ func (d *Disk) Submit(block, phys int, prefetch bool) *Request {
 	req.Complete.Init(d.k, "disk I/O completion")
 	// Completion estimate for the file system's idle-time planning:
 	// exact under FIFO with a fixed access time, a heuristic otherwise.
-	queued := len(d.pending)
+	queued := d.QueueLength()
 	base := now
 	if d.current != nil {
 		base = d.current.Done
 	}
 	req.EstDone = base.Add(sim.Duration(queued+1) * d.profile.Access)
 	// Queue depth including the request in service, as seen on arrival.
-	depth := len(d.pending)
+	depth := queued
 	if d.current != nil {
 		depth++
 	}
@@ -264,7 +291,7 @@ func (d *Disk) Submit(block, phys int, prefetch bool) *Request {
 			d.obs.Add(obs.CtrDiskPrefetchRequests, 1)
 		}
 	}
-	d.pending = append(d.pending, req)
+	d.enqueue(req)
 	if d.current == nil {
 		d.dispatch()
 	}
@@ -276,21 +303,30 @@ func (d *Disk) Submit(block, phys int, prefetch bool) *Request {
 // and schedules its completion. Kernel or process context; must only
 // be called when idle.
 func (d *Disk) dispatch() {
-	if len(d.pending) == 0 {
+	if d.QueueLength() == 0 {
 		d.current = nil
 		return
 	}
 	now := d.k.Now()
 	i := d.pickNext(now)
-	req := d.pending[i]
-	// Remove index i by shifting the prefix right and advancing the
-	// slice base. For FIFO (i == 0, the common case) this moves
-	// nothing; removing by copying the suffix down would move the whole
-	// remaining queue on every serve, which at cluster scale — 100k+
-	// requests deep on a handful of disks — turns the run quadratic.
-	copy(d.pending[1:i+1], d.pending[:i])
-	d.pending[0] = nil
-	d.pending = d.pending[1:]
+	q := d.waiting()
+	req := q[i]
+	// Remove index i by shifting the prefix right and advancing head.
+	// For FIFO (i == 0, the common case) this moves nothing; removing
+	// by copying the suffix down would move the whole remaining queue
+	// on every serve, which at cluster scale — 100k+ requests deep on a
+	// handful of disks — turns the run quadratic. An emptied queue
+	// rewinds to the array's start, so the next submit reuses it; only
+	// a burst's high-water array is dropped, or every disk of a cluster
+	// run would hold its cold-start peak for the rest of the run.
+	copy(q[1:i+1], q[:i])
+	q[0] = nil
+	if d.head++; d.head == len(d.queue) {
+		d.queue, d.head = d.queue[:0], 0
+		if cap(d.queue) > queueKeep {
+			d.queue = nil
+		}
+	}
 	service := d.profile.ServiceTime(d.headPos, req.Physical)
 	// Storms stretch the base service before the fault draw, so a spike
 	// multiplies the stormed time and the timeout watchdog still caps
@@ -354,16 +390,17 @@ const starvationBound = 32
 // pickNext chooses the pending index to serve next at dispatch
 // instant now.
 func (d *Disk) pickNext(now sim.Time) int {
-	if d.policy == FIFO || d.headPos < 0 || len(d.pending) == 1 {
+	q := d.waiting()
+	if d.policy == FIFO || d.headPos < 0 || len(q) == 1 {
 		return 0
 	}
-	if now.Sub(d.pending[0].Enqueued) > sim.Duration(starvationBound)*d.profile.Access {
+	if now.Sub(q[0].Enqueued) > sim.Duration(starvationBound)*d.profile.Access {
 		return 0
 	}
 	switch d.policy {
 	case SSTF:
 		best, bestDist := 0, -1
-		for i, r := range d.pending {
+		for i, r := range q {
 			dist := r.Physical - d.headPos
 			if dist < 0 {
 				dist = -dist
@@ -377,7 +414,7 @@ func (d *Disk) pickNext(now sim.Time) int {
 		// Nearest request in the sweep direction; reverse if none.
 		pick := func(up bool) (int, bool) {
 			best, bestDist := -1, -1
-			for i, r := range d.pending {
+			for i, r := range q {
 				dist := r.Physical - d.headPos
 				if !up {
 					dist = -dist

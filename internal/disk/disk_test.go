@@ -419,6 +419,53 @@ func TestQueueLength(t *testing.T) {
 	k.Run()
 }
 
+// TestSubmitCompleteAllocsOnlyRequest pins the queue's array reuse:
+// in steady state each submit/complete cycle allocates the Request
+// record and nothing else — both for a submit to an idle disk (the
+// queue empties at every dispatch) and for a burst that queues two
+// requests (queueKeep) behind the one in service. A queue that
+// advanced its slice base on every serve would regrow its array on
+// each idle-disk submit.
+func TestSubmitCompleteAllocsOnlyRequest(t *testing.T) {
+	for _, burst := range []int{1, 1 + queueKeep} {
+		k := sim.NewKernel()
+		d := New(k, 0, 10*sim.Millisecond)
+		block := 0
+		cycle := func() {
+			for i := 0; i < burst; i++ {
+				d.Submit(block, 0, false)
+				block++
+			}
+			k.Run()
+		}
+		cycle() // warm up the queue and the kernel's event storage
+		if got := testing.AllocsPerRun(100, cycle); got != float64(burst) {
+			t.Errorf("burst %d: %v allocs per cycle, want %d (the Requests only)", burst, got, burst)
+		}
+		if d.QueueLength() != 0 || d.Served() != int64(101*burst+burst) {
+			t.Errorf("burst %d: queue %d, served %d", burst, d.QueueLength(), d.Served())
+		}
+	}
+}
+
+// TestQueueReleasesBurstArray: a queue that empties after a burst
+// deeper than queueKeep drops its array, so a cluster run's thousands
+// of disks do not each keep their cold-start peak once they go quiet.
+func TestQueueReleasesBurstArray(t *testing.T) {
+	k := sim.NewKernel()
+	d := New(k, 0, 10*sim.Millisecond)
+	for b := 0; b < 10; b++ {
+		d.Submit(b, 0, false)
+	}
+	if cap(d.queue) <= queueKeep {
+		t.Fatalf("burst queued into cap %d", cap(d.queue))
+	}
+	k.Run()
+	if d.queue != nil || d.head != 0 || d.Served() != 10 {
+		t.Fatalf("drained queue keeps cap %d (head %d, served %d)", cap(d.queue), d.head, d.Served())
+	}
+}
+
 func TestSSTFStarvationBound(t *testing.T) {
 	k := sim.NewKernel()
 	d := seekDisk(k, SSTF)

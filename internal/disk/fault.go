@@ -123,8 +123,8 @@ func (d *Disk) kill() {
 		d.fstats.DeadFailed++
 	}
 	now := d.k.Now()
-	pending := d.pending
-	d.pending = nil
+	pending := d.waiting()
+	d.queue, d.head = nil, 0
 	for _, req := range pending {
 		req.Err = fmt.Errorf("disk %d: %w", d.id, ErrDead)
 		req.Started = now

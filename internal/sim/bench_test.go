@@ -42,3 +42,22 @@ func BenchmarkEventFanout(b *testing.B) {
 		k.Run()
 	}
 }
+
+// BenchmarkWheelCascade measures one pop plus one push on a timer
+// wheel kept 256 events deep, with horizons spread over levels 1–3 so
+// most events reach level 0 only through one or more cascades.
+func BenchmarkWheelCascade(b *testing.B) {
+	b.ReportAllocs()
+	var w timerWheel
+	var seq uint64
+	horizon := func(i uint64) Time { return Time(64 + (i*7919)%(1<<20)) }
+	for ; seq < 256; seq++ {
+		w.push(event{at: horizon(seq), seq: seq})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := w.pop()
+		w.push(event{at: e.at + horizon(seq), seq: seq})
+		seq++
+	}
+}

@@ -14,9 +14,11 @@ const (
 
 // event is a scheduled occurrence. Events with equal times fire in the
 // order they were scheduled (seq breaks ties), which keeps the kernel
-// fully deterministic. Records live by value inside the heap's slice —
-// a pool that is reused in place as events come and go — so pushing and
-// popping moves no memory through the garbage collector.
+// fully deterministic. Records live by value in the timer wheel's
+// storage — its node slab, its due-event front buffer and its overflow
+// heap's slice, all reused in place as events come and go — so in
+// steady state pushing and popping moves no memory through the garbage
+// collector.
 type event struct {
 	at   Time
 	seq  uint64

@@ -31,6 +31,15 @@ import "math/bits"
 // the wheel spans 2^24 µs (~16.8 virtual seconds) before the overflow
 // heap takes over. One uint64 occupancy bitmap per level makes
 // "earliest non-empty slot" a single bit scan.
+//
+// Storage: every slot resident lives in one node slab, and each slot is
+// an intrusive singly linked list (head/tail indices) threaded through
+// it. Placing an event takes a node from the slab's free list; a
+// cascade relinks node indices into lower levels without copying
+// events; collecting a level-0 slot copies its events into front and
+// returns the nodes to the free list. Steady-state scheduling therefore
+// allocates nothing, and the slab is the only per-slot memory there is
+// — 256 slots own no arrays of their own to retain after a burst.
 const (
 	wheelBits   = 6
 	wheelSlots  = 1 << wheelBits // 64 slots per level
@@ -54,11 +63,28 @@ type timerWheel struct {
 	front []event
 	fi    int
 
-	slots [wheelLevels][wheelSlots][]event
+	slots [wheelLevels][wheelSlots]slotList
 	occ   [wheelLevels]uint64 // bit s set ⇔ slots[l][s] non-empty
+
+	// nodes is the slab behind every slot list; free heads the list of
+	// unused nodes, linked through next. Indices are 1-based so the
+	// zero value is an empty wheel.
+	nodes []wheelNode
+	free  int32
 
 	overflow eventHeap // events ≥ wheelSpan past wheelTime
 }
+
+// wheelNode is one slab entry: a queued event and the 1-based index of
+// the next node in its slot list (or in the free list); 0 ends a list.
+type wheelNode struct {
+	ev   event
+	next int32
+}
+
+// slotList is a slot's resident list in insertion order, as 1-based
+// slab indices; head == 0 means empty.
+type slotList struct{ head, tail int32 }
 
 func (w *timerWheel) len() int { return w.size }
 
@@ -80,15 +106,38 @@ func (w *timerWheel) push(e event) {
 // placement would let one slot mix residents from two laps and cascade
 // could then re-file an event into the slot it came from, forever.
 func (w *timerWheel) place(e event) {
-	diff := uint64(e.at) ^ uint64(w.wheelTime)
-	if diff>>(wheelBits*wheelLevels) != 0 {
+	if uint64(e.at^w.wheelTime)>>(wheelBits*wheelLevels) != 0 {
 		w.overflow.push(e) // differs above the wheel's top lap
 		return
 	}
-	l := (bits.Len64(diff) - 1) / wheelBits // diff==0 → level 0, due now
-	s := int(e.at>>(wheelBits*l)) & wheelMask
-	w.slots[l][s] = append(w.slots[l][s], e)
+	w.link(w.alloc(e), e.at)
+}
+
+// link appends slab node n, whose event is at `at` (within the wheel's
+// span of wheelTime), to the tail of its slot, keeping push order.
+func (w *timerWheel) link(n int32, at Time) {
+	l := (bits.Len64(uint64(at^w.wheelTime)) - 1) / wheelBits // equal → level 0, due now
+	s := int(at>>(wheelBits*l)) & wheelMask
+	sl := &w.slots[l][s]
+	if sl.head == 0 {
+		sl.head = n
+	} else {
+		w.nodes[sl.tail-1].next = n
+	}
+	sl.tail = n
 	w.occ[l] |= 1 << uint(s)
+}
+
+// alloc stores e in a slab node, reusing a freed one when there is one.
+func (w *timerWheel) alloc(e event) int32 {
+	if n := w.free; n != 0 {
+		nd := &w.nodes[n-1]
+		w.free = nd.next
+		*nd = wheelNode{ev: e}
+		return n
+	}
+	w.nodes = append(w.nodes, wheelNode{ev: e})
+	return int32(len(w.nodes))
 }
 
 // insertFront adds an event to the sorted due buffer. Its seq is the
@@ -129,9 +178,13 @@ func (w *timerWheel) pop() event {
 
 // shrink releases oversized backing arrays once the wheel is empty.
 // Burst workloads — a cluster-scale run schedules one wake per node at
-// t=0 — grow the staging and overflow arrays to the burst's high-water
-// mark; without this, a million-node run retains that peak for its
-// whole lifetime even though steady state needs a fraction of it.
+// t=0 — grow the slab, staging and overflow arrays to the burst's
+// high-water mark; without this, a million-node run retains that peak
+// for its whole lifetime even though steady state needs a fraction of
+// it. An empty wheel has every slab node on the free list, so dropping
+// the slab drops the free list with it. Below keep, the arrays stay for
+// reuse: the paper-scale runs cycle a few dozen events and never
+// regrow them.
 func (w *timerWheel) shrink() {
 	const keep = 4096
 	if cap(w.front) > keep {
@@ -140,12 +193,8 @@ func (w *timerWheel) shrink() {
 	if cap(w.overflow.items) > keep {
 		w.overflow.items = nil
 	}
-	for l := range w.slots {
-		for s := range w.slots[l] {
-			if cap(w.slots[l][s]) > keep/wheelSlots {
-				w.slots[l][s] = nil
-			}
-		}
+	if cap(w.nodes) > keep {
+		w.nodes, w.free = nil, 0
 	}
 }
 
@@ -207,30 +256,36 @@ func (w *timerWheel) collect() {
 			}
 			continue
 		}
+		n := w.slots[bestLevel][bestSlot].head
+		w.slots[bestLevel][bestSlot] = slotList{}
+		w.occ[bestLevel] &^= 1 << uint(bestSlot)
 		if bestLevel == 0 {
-			slot := w.slots[0][bestSlot]
-			w.front = append(w.front, slot...)
-			for i := range slot {
-				slot[i] = event{}
+			// Copy the events out in list order and free the nodes,
+			// zeroing them to release proc/w/fn references.
+			for n != 0 {
+				nd := &w.nodes[n-1]
+				w.front = append(w.front, nd.ev)
+				next := nd.next
+				*nd = wheelNode{next: w.free}
+				w.free = n
+				n = next
 			}
-			w.slots[0][bestSlot] = slot[:0]
-			w.occ[0] &^= 1 << uint(bestSlot)
 			w.sortFrontBySeq(best)
 			w.wheelTime = best + 1
 			return
 		}
 		// Cascade: advance wheelTime to the slot's window start (safe —
-		// no queued event is earlier, by minimality) and redistribute
-		// its events, which now all fit in levels below bestLevel.
+		// no queued event is earlier, by minimality) and relink its
+		// nodes, whose events now all fit in levels below bestLevel.
 		if best > w.wheelTime {
 			w.wheelTime = best
 		}
-		slot := w.slots[bestLevel][bestSlot]
-		w.slots[bestLevel][bestSlot] = nil
-		w.occ[bestLevel] &^= 1 << uint(bestSlot)
-		for i := range slot {
-			w.place(slot[i])
-			slot[i] = event{}
+		for n != 0 {
+			nd := &w.nodes[n-1]
+			next := nd.next
+			nd.next = 0
+			w.link(n, nd.ev.at)
+			n = next
 		}
 	}
 }
