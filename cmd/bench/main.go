@@ -16,6 +16,7 @@
 //	bench -benchtime 3x -o out.json
 //	bench -shared                  # single process, shared caches (fast smoke)
 //	bench -pkg .,./internal/sim -bench 'SingleRun|Wheel'  # several packages, one file
+//	bench -bench SingleRun -benchtime 2s -count 5  # median, min and max of 5 runs
 package main
 
 import (
@@ -31,9 +32,13 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/metrics"
 )
 
-// Result is one benchmark's measurement.
+// Result is one benchmark's measurement. With -count N > 1 every
+// number is the median over the N runs, and the spread fields record
+// median, min and max of the three standard per-op figures.
 type Result struct {
 	Package     string             `json:"package,omitempty"`
 	Name        string             `json:"name"`
@@ -42,6 +47,18 @@ type Result struct {
 	BytesPerOp  float64            `json:"bytes_per_op"`
 	AllocsPerOp float64            `json:"allocs_per_op"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
+
+	Runs              int     `json:"runs,omitempty"`
+	NsPerOpSpread     *Spread `json:"ns_per_op_spread,omitempty"`
+	BytesPerOpSpread  *Spread `json:"bytes_per_op_spread,omitempty"`
+	AllocsPerOpSpread *Spread `json:"allocs_per_op_spread,omitempty"`
+}
+
+// Spread summarises one figure over repeated runs of a benchmark.
+type Spread struct {
+	Median float64 `json:"median"`
+	Min    float64 `json:"min"`
+	Max    float64 `json:"max"`
 }
 
 // Baseline is the file format of BENCH_<date>.json.
@@ -52,6 +69,7 @@ type Baseline struct {
 	GOARCH     string   `json:"goarch"`
 	Label      string   `json:"label,omitempty"`
 	Benchtime  string   `json:"benchtime"`
+	Count      int      `json:"count,omitempty"`
 	Isolated   bool     `json:"isolated"`
 	Package    string   `json:"package"`
 	Benchmarks []Result `json:"benchmarks"`
@@ -62,6 +80,7 @@ func main() {
 		pkg       = flag.String("pkg", ".", "comma-separated packages containing the benchmarks")
 		benchRE   = flag.String("bench", ".", "regexp selecting benchmarks to run")
 		benchtime = flag.String("benchtime", "1x", "benchtime passed to go test")
+		count     = flag.Int("count", 1, "runs per benchmark; > 1 records median, min and max")
 		out       = flag.String("o", "", "output file (default BENCH_<date>.json)")
 		label     = flag.String("label", "", "free-form label recorded in the baseline")
 		shared    = flag.Bool("shared", false, "run all benchmarks in one process (shared lazy caches)")
@@ -71,6 +90,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if *count < 1 {
+		fatal(fmt.Errorf("-count must be at least 1"))
+	}
 	pkgs := strings.Split(*pkg, ",")
 	if len(pkgs) > 1 && (*cpuProf != "" || *memProf != "") {
 		// As with go test itself: profile files are named per
@@ -80,7 +102,7 @@ func main() {
 	// Results keep -pkg order, sorted by name within each package.
 	var results []Result
 	for _, p := range pkgs {
-		rs, err := benchPackage(*dir, p, *benchRE, *benchtime, *shared, *cpuProf, *memProf)
+		rs, err := benchPackage(*dir, p, *benchRE, *benchtime, *count, *shared, *cpuProf, *memProf)
 		if err != nil {
 			fatal(err)
 		}
@@ -96,6 +118,7 @@ func main() {
 		GOARCH:     runtime.GOARCH,
 		Label:      *label,
 		Benchtime:  *benchtime,
+		Count:      *count,
 		Isolated:   !*shared,
 		Package:    *pkg,
 		Benchmarks: results,
@@ -117,7 +140,7 @@ func main() {
 
 // benchPackage runs the benchmarks of one package matching re, all in
 // one process when shared, else one process each.
-func benchPackage(dir, pkg, re, benchtime string, shared bool, cpuProf, memProf string) ([]Result, error) {
+func benchPackage(dir, pkg, re, benchtime string, count int, shared bool, cpuProf, memProf string) ([]Result, error) {
 	names, err := listBenchmarks(dir, pkg, re)
 	if err != nil {
 		return nil, err
@@ -127,7 +150,7 @@ func benchPackage(dir, pkg, re, benchtime string, shared bool, cpuProf, memProf 
 	}
 	var results []Result
 	if shared {
-		results, err = runBench(dir, pkg, re, benchtime, cpuProf, memProf)
+		results, err = runBench(dir, pkg, re, benchtime, count, cpuProf, memProf)
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +158,7 @@ func benchPackage(dir, pkg, re, benchtime string, shared bool, cpuProf, memProf 
 		for _, name := range names {
 			fmt.Fprintf(os.Stderr, "bench: %s %s\n", pkg, name)
 			// One process per benchmark, so each gets its own profile file.
-			rs, err := runBench(dir, pkg, "^"+name+"$", benchtime,
+			rs, err := runBench(dir, pkg, "^"+name+"$", benchtime, count,
 				suffixProfile(cpuProf, name), suffixProfile(memProf, name))
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", name, err)
@@ -179,11 +202,12 @@ func suffixProfile(path, bench string) string {
 	return path + "." + bench
 }
 
-// runBench executes one `go test -bench` invocation and parses every
-// result line it prints.
-func runBench(dir, pkg, re, benchtime, cpuProf, memProf string) ([]Result, error) {
+// runBench executes one `go test -bench` invocation, parses every
+// result line it prints and folds the count runs of each benchmark into
+// one Result.
+func runBench(dir, pkg, re, benchtime string, count int, cpuProf, memProf string) ([]Result, error) {
 	args := []string{"test", "-run", "^$",
-		"-bench", re, "-benchtime", benchtime, "-benchmem"}
+		"-bench", re, "-benchtime", benchtime, "-count", strconv.Itoa(count), "-benchmem"}
 	if cpuProf != "" {
 		args = append(args, "-cpuprofile", cpuProf)
 	}
@@ -207,7 +231,68 @@ func runBench(dir, pkg, re, benchtime, cpuProf, memProf string) ([]Result, error
 	if len(results) == 0 {
 		return nil, fmt.Errorf("no benchmark results in output:\n%s", buf.String())
 	}
-	return results, nil
+	return aggregate(results), nil
+}
+
+// aggregate folds repeated runs of the same benchmark into one Result
+// per name, in order of first appearance. A benchmark seen once is
+// returned as is; one seen N > 1 times gets the median of every figure
+// plus the spread of ns/op, B/op and allocs/op.
+func aggregate(runs []Result) []Result {
+	var order []string
+	byName := map[string][]Result{}
+	for _, r := range runs {
+		if _, seen := byName[r.Name]; !seen {
+			order = append(order, r.Name)
+		}
+		byName[r.Name] = append(byName[r.Name], r)
+	}
+	out := make([]Result, 0, len(order))
+	for _, name := range order {
+		rs := byName[name]
+		if len(rs) == 1 {
+			out = append(out, rs[0])
+			continue
+		}
+		var iters, ns, bytes, allocs metrics.Sample
+		units := map[string]*metrics.Sample{}
+		for _, r := range rs {
+			iters.Add(float64(r.Iterations))
+			ns.Add(r.NsPerOp)
+			bytes.Add(r.BytesPerOp)
+			allocs.Add(r.AllocsPerOp)
+			for unit, v := range r.Metrics {
+				if units[unit] == nil {
+					units[unit] = &metrics.Sample{}
+				}
+				units[unit].Add(v)
+			}
+		}
+		agg := Result{
+			Name:              name,
+			Iterations:        int64(iters.Median()),
+			NsPerOp:           ns.Median(),
+			BytesPerOp:        bytes.Median(),
+			AllocsPerOp:       allocs.Median(),
+			Runs:              len(rs),
+			NsPerOpSpread:     spread(&ns),
+			BytesPerOpSpread:  spread(&bytes),
+			AllocsPerOpSpread: spread(&allocs),
+		}
+		for unit, s := range units {
+			if agg.Metrics == nil {
+				agg.Metrics = map[string]float64{}
+			}
+			agg.Metrics[unit] = s.Median()
+		}
+		out = append(out, agg)
+	}
+	return out
+}
+
+// spread records the median, min and max of s.
+func spread(s *metrics.Sample) *Spread {
+	return &Spread{Median: s.Median(), Min: s.Min(), Max: s.Max()}
 }
 
 var (

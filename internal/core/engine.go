@@ -294,11 +294,12 @@ type flightDumper interface{ DumpFlight(cause any) }
 
 // dumpFlightOnPanic gives the observability sink its last word when a
 // run dies: any panic crossing Engine.Run — the kernel's deadlock
-// detector, an audit Violation, a compact-node
-// stall — is handed to the sink's flight recorder before being
-// re-raised, so cluster-scale failures arrive with their last-N-events
-// context instead of a bare stack. Deferred from Run so it covers both
-// engines and every panic path through the kernel.
+// detector, an audit Violation, a compact-node stall, or a panic inside
+// a processor's own body (procBody), which the kernel's process
+// coroutine re-raises from Run — is handed to the sink's flight
+// recorder before being re-raised, so cluster-scale failures arrive with
+// their last-N-events context instead of a bare stack. Deferred from Run
+// so it covers both engines and every panic path through the kernel.
 func (e *Engine) dumpFlightOnPanic() {
 	r := recover()
 	if r == nil {

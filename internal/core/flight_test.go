@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -124,6 +125,40 @@ func TestFlightDumpOnViolation(t *testing.T) {
 		_ = v
 	}()
 	e.Run()
+}
+
+// TestFlightDumpOnProcPanic: a panic raised inside a processor's own
+// body (procBody context, here from the Trace hook at a read start) comes
+// out of the kernel's Run, so Engine.Run's defer hands it to the flight
+// recorder and re-raises the original value.
+func TestFlightDumpOnProcPanic(t *testing.T) {
+	type procCrash struct{ node int }
+	cfg := smallConfig(pattern.GW, 4, 200)
+	sink, human, _ := flightSink()
+	cfg.Obs = sink
+	cfg.Trace = func(ev Event) {
+		if ev.Kind == EvReadStart && ev.T > sim.Time(50*sim.Millisecond) {
+			panic(procCrash{node: ev.Node})
+		}
+	}
+	defer func() {
+		r := recover()
+		crash, ok := r.(procCrash)
+		if !ok {
+			t.Fatalf("panic value %#v, want the body's procCrash", r)
+		}
+		out := human.String()
+		for _, want := range []string{
+			"=== telemetry flight recorder ===",
+			fmt.Sprintf("cause: %v", crash),
+			"tracks heard from",
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("flight dump missing %q:\n%s", want, out)
+			}
+		}
+	}()
+	MustRun(cfg)
 }
 
 // TestNoDumpOnCleanRun: a healthy run must not write a flight dump.

@@ -6,16 +6,16 @@ import (
 )
 
 // Scheduler drives the paper's idle-time prefetching (§III) for one
-// processor without goroutine handoffs. While the processor is parked
+// processor without process handoffs. While the processor is parked
 // waiting for an event — its own demand fetch, another node's in-flight
 // block, a barrier release — prefetch actions run as a chain of
 // kernel-context continuations: each action's completion timer begins
-// the next action directly, and the processor's goroutine is resumed
+// the next action directly, and the processor's coroutine is resumed
 // exactly once, when the awaited event has fired and the action in
 // flight (if any) has completed. The semantics are identical to a
 // blocking loop of "try one action, advance the clock by its cost,
 // re-check the event", but the per-action cost is a function call
-// instead of two goroutine context switches.
+// instead of a pair of coroutine switches.
 type Scheduler struct {
 	k *sim.Kernel
 	p *sim.Proc

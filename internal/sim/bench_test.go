@@ -15,18 +15,34 @@ func BenchmarkScheduleRun(b *testing.B) {
 	k.Run()
 }
 
-// BenchmarkProcSwitch measures the coroutine handoff cost: one Advance
-// per iteration.
+// BenchmarkProcSwitch measures the process handoff cost: one Yield per
+// iteration, i.e. one park into the kernel plus one resume. (Advance
+// would not do: with nothing else queued it takes its fast path and
+// never switches.)
 func BenchmarkProcSwitch(b *testing.B) {
 	b.ReportAllocs()
 	k := NewKernel()
 	k.Spawn("p", 0, func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			p.Advance(1)
+			p.Yield()
 		}
 	})
 	b.ResetTimer()
 	k.Run()
+}
+
+// BenchmarkSpawn measures creating a process and running it to
+// completion: spawn, first step and exit, on kernels of 1024 processes.
+func BenchmarkSpawn(b *testing.B) {
+	b.ReportAllocs()
+	const batch = 1024
+	for i := 0; i < b.N; i += batch {
+		k := NewKernel()
+		for j := i; j < b.N && j < i+batch; j++ {
+			k.Spawn("p", 0, func(*Proc) {})
+		}
+		k.Run()
+	}
 }
 
 // BenchmarkEventFanout measures firing an event with many waiters.

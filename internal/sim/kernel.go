@@ -1,7 +1,11 @@
+// go1.23 raises this file's language version past go.mod's 1.22 for iter.Pull.
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 
 	"repro/internal/obs"
@@ -22,14 +26,15 @@ type Waiter interface {
 // Kernel is a discrete-event simulation kernel. Create one with NewKernel,
 // spawn processes with Spawn, then call Run. The zero value is not usable.
 //
-// The kernel is strictly sequential: although each process runs on its own
-// goroutine, control is handed off synchronously so that exactly one
-// goroutine (a process or the kernel loop) is ever runnable. All state
-// reachable from process code may therefore be used without locks.
+// The kernel is strictly sequential: each process is a coroutine
+// (iter.Pull) that the kernel switches into directly and that switches
+// back when it blocks, so exactly one goroutine (a process or the kernel
+// loop) ever runs. All state reachable from process code may therefore
+// be used without locks.
 //
 // Two styles of scheduling coexist. The blocking Proc API (Advance,
-// Event.Wait, WaitQueue.Sleep) reads naturally but costs two goroutine
-// context switches per block/resume pair. The continuation API (Waiter,
+// Event.Wait, WaitQueue.Sleep) reads naturally but costs a pair of
+// coroutine switches per block/resume. The continuation API (Waiter,
 // Event.AddWaiter, ScheduleWake) stays in kernel context and costs a
 // plain function call, so the simulator's inner loops — I/O completion,
 // cache wakeups, prefetch chaining — use it exclusively; only top-level
@@ -110,14 +115,16 @@ func (k *Kernel) scheduleStep(p *Proc) {
 	k.heap.push(event{at: k.now, seq: k.seq, kind: evStep, proc: p})
 }
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
-// deterministically with all other processes by the kernel. All Proc
-// methods must be called from the process's own goroutine.
+// Proc is a simulated process: a coroutine that runs only while the
+// kernel steps it and hands control back whenever it blocks, so its
+// execution interleaves deterministically with all other processes. A
+// panic in the process body surfaces from the Run or RunUntil call that
+// stepped it. All Proc methods must be called from the process itself.
 type Proc struct {
 	k       *Kernel
 	name    string
-	resume  chan struct{}
-	yield   chan struct{}
+	next    func() (struct{}, bool) // runs the process until it parks or ends
+	yield   func(struct{}) bool     // parks the process; process context only
 	done    bool
 	waiting string // condition blocking the process; "" while runnable
 }
@@ -136,24 +143,18 @@ func (p *Proc) Now() Time { return p.k.now }
 // the run.
 func (k *Kernel) Spawn(name string, at Time, fn func(p *Proc)) *Proc {
 	k.checkFuture(at)
-	p := &Proc{
-		k:      k,
-		name:   name,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
+	p := &Proc{k: k, name: name}
 	k.procs = append(k.procs, p)
 	k.active++
 	if k.obs != nil {
 		k.obs.Add(obs.CtrKernelSpawns, 1)
 	}
-	go func() {
-		<-p.resume
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		fn(p)
 		p.done = true
 		k.active--
-		p.yield <- struct{}{}
-	}()
+	})
 	k.seq++
 	k.heap.push(event{at: at, seq: k.seq, kind: evStep, proc: p})
 	return p
@@ -164,8 +165,11 @@ func (k *Kernel) step(p *Proc) {
 	if p.done {
 		panic("sim: waking a finished process " + p.name)
 	}
-	p.resume <- struct{}{}
-	<-p.yield
+	p.next()
+	if p.done {
+		// Drop the finished coroutine so the run does not retain it.
+		p.next, p.yield = nil, nil
+	}
 }
 
 // Resume transfers control to a process parked with Park (or any
@@ -182,8 +186,7 @@ func (k *Kernel) Resume(p *Proc) { k.step(p) }
 // context only.
 func (p *Proc) park(reason string) {
 	p.waiting = reason
-	p.yield <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	p.waiting = ""
 }
 
@@ -207,7 +210,7 @@ func (p *Proc) Advance(d Duration) {
 	at := k.now.Add(d)
 	// Fast path: if no other event is due strictly before the resume
 	// instant, a round trip through the heap would accomplish nothing
-	// but two goroutine context switches — the resume event would be
+	// but a pair of coroutine switches — the resume event would be
 	// popped immediately after being pushed. Advancing the clock in
 	// place is observationally identical. (Bounded by k.limit so that
 	// RunUntil still stops at its deadline; an event already queued at

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -525,6 +526,63 @@ func TestDeadlockPanicTruncatesLongList(t *testing.T) {
 		}
 	}()
 	k.Run()
+}
+
+// TestProcPanicReachesRun: a panic in a process body surfaces from the
+// Run call that stepped the process, carrying the body's panic value, so
+// a recover around Run (Engine.Run's flight-recorder defer) sees it.
+func TestProcPanicReachesRun(t *testing.T) {
+	type boom struct{ at Time }
+	k := NewKernel()
+	k.Spawn("bystander", 0, func(p *Proc) { p.Advance(20) })
+	k.Spawn("crasher", 0, func(p *Proc) {
+		p.Advance(5)
+		panic(boom{at: p.Now()})
+	})
+	defer func() {
+		r := recover()
+		if r != (boom{at: 5}) {
+			t.Fatalf("recovered %#v from Run, want the body's boom{at: 5}", r)
+		}
+		if k.Now() != 5 {
+			t.Errorf("clock at %v after the panic, want 5", k.Now())
+		}
+	}()
+	k.Run()
+	t.Fatal("Run returned normally past a panicking process")
+}
+
+// TestProcGoexitReachesRun: runtime.Goexit in a process body (what
+// t.Fatal does) ends the goroutine that called Run, running its defers,
+// instead of silently ending only the process.
+func TestProcGoexitReachesRun(t *testing.T) {
+	returned := make(chan bool, 1)
+	go func() {
+		ok := false
+		defer func() { returned <- ok }()
+		k := NewKernel()
+		k.Spawn("quitter", 0, func(p *Proc) {
+			p.Yield()
+			runtime.Goexit()
+		})
+		k.Run()
+		ok = true
+	}()
+	if <-returned {
+		t.Fatal("Run returned normally past a process that called runtime.Goexit")
+	}
+}
+
+// TestFinishedProcReleasesCoroutine: once a process ends, the kernel
+// drops its coroutine handles, so a finished run retains no coroutine
+// state per process.
+func TestFinishedProcReleasesCoroutine(t *testing.T) {
+	k := NewKernel()
+	p := k.Spawn("p", 0, func(p *Proc) { p.Advance(3) })
+	k.Run()
+	if !p.done || p.next != nil || p.yield != nil {
+		t.Fatalf("finished process keeps done=%v next=%v yield=%v", p.done, p.next != nil, p.yield != nil)
+	}
 }
 
 // waked records Wake calls for Waiter tests.
